@@ -294,7 +294,7 @@ def _run_projectivize(args, variables) -> tuple[dict, int]:
         "result_degree": lifted.total_degree(),
         "descends": descends(lifted),
     }
-    if isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if isinstance(spec, AffineLogarithmic):
         params = projectivized_log_parameters(spec)
         payload["logarithmic_parameters"] = {
             "factors": [render_poly(f, extended) for f in params.factors],
@@ -313,7 +313,7 @@ def _run_verify(args, variables) -> tuple[dict, int]:
             "logarithmic": AffineLogarithmic,
             "exact": Exact,
         }[theorem]
-        if not isinstance(spec, expected):
+        if type(spec) is not expected:
             raise ValueError(f"verify {theorem} needs a matching --{theorem} spec")
         report = verify_decomposition(spec)
         payload = {
@@ -338,7 +338,7 @@ def _run_verify(args, variables) -> tuple[dict, int]:
         return payload, EXIT_OK if ok else EXIT_VERDICT_FAILED
     if theorem == "coro1":
         spec = _spec_from_args(args, variables)
-        if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+        if not isinstance(spec, AffineLogarithmic):
             raise ValueError("verify coro1 needs a rational or logarithmic spec")
         equal = verify_coro1(spec)
         payload = {

@@ -23,8 +23,10 @@ from .foliations import (
     Exact,
     FoliationSpec,
     IntegrationDecomposition,
+    _eigenvalues_generic,
+    _log_form,
+    _log_terms,
     degree_of,
-    eigenvalue_list,
     integrating_factor,
     integration_lemma_decompose,
     is_integrable,
@@ -128,40 +130,14 @@ def kernel_space(op, degree: int, quotient_by_omega: bool = False) -> SubspaceBa
     return vectors_to_subspace(vectors, n, degree, modulo=omega if quotient_by_omega else None)
 
 
-def _rational_slot_generator(spec: AffineRational, slot: int, g: Poly) -> Form:
-    if slot == 0:
-        return ext_d(spec.f2) * g * spec.r - ext_d(g) * spec.f2 * spec.s
-    return ext_d(g) * spec.f1 * spec.r - ext_d(spec.f1) * g * spec.s
-
-
-def _logarithmic_slot_generator(spec: AffineLogarithmic, slot: int, g: Poly) -> Form:
-    n = spec.ambient_dim
-    substituted = list(spec.factors)
-    substituted[slot] = g
-    total = Form.zero(n, 1)
-    for k, lam in enumerate(spec.eigenvalues):
-        cofactor = Poly.constant(n, 1)
-        for j, f in enumerate(substituted):
-            if j != k:
-                cofactor = cofactor * f
-        total = total + ext_d(substituted[k]) * cofactor * lam
-    return total
-
-
-def perturbation_generators(
-    spec: AffineRational | AffineLogarithmic,
-    slot: int,
-    degree: int,
-) -> list[Form]:
+def perturbation_generators(spec: AffineLogarithmic, slot: int, degree: int) -> list[Form]:
     """Generators obtained by replacing the slot's parameter by each monomial."""
     n = spec.ambient_dim
     out = []
     for mono in monomials_of_degree(n, degree):
-        g = Poly.monomial(n, mono)
-        if isinstance(spec, AffineRational):
-            out.append(_rational_slot_generator(spec, slot, g))
-        else:
-            out.append(_logarithmic_slot_generator(spec, slot, g))
+        substituted = list(spec.factors)
+        substituted[slot] = Poly.monomial(n, mono)
+        out.append(_log_form(substituted, spec.eigenvalues))
     return out
 
 
@@ -177,7 +153,7 @@ def param_perturbation_space(
     degree, and degree-0 replacements are rejected (that extreme case lives in
     :func:`different_degree_solutions`).
     """
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("parameter perturbations are defined for rational/logarithmic specs")
     degrees = list(spec.degrees)
     e = degree_of(spec)
@@ -211,25 +187,11 @@ def eigen_perturbation_space(
     spec: FoliationSpec,
     quotient_by_omega: bool = False,
 ) -> SubspaceBasis:
-    """Span of the eigenvalue perturbations {F_i df_i} (or {f1 df2, f2 df1})."""
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    """Span of the eigenvalue perturbations {F_i df_i} (for a rational spec {f2 df1, f1 df2})."""
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("eigenvalue perturbations are defined for rational/logarithmic specs")
-    n = spec.ambient_dim
-    if isinstance(spec, AffineRational):
-        generators = [
-            ext_d(spec.f2) * spec.f1,
-            ext_d(spec.f1) * spec.f2,
-        ]
-    else:
-        generators = []
-        for k in range(len(spec.factors)):
-            cofactor = Poly.constant(n, 1)
-            for j, f in enumerate(spec.factors):
-                if j != k:
-                    cofactor = cofactor * f
-            generators.append(ext_d(spec.factors[k]) * cofactor)
     modulo = realize(spec) if quotient_by_omega else None
-    return span_of_forms(generators, n, degree_of(spec), modulo=modulo)
+    return span_of_forms(_log_terms(spec.factors), spec.ambient_dim, degree_of(spec), modulo=modulo)
 
 
 @dataclass(frozen=True)
@@ -273,9 +235,7 @@ def _spec_summary(spec: FoliationSpec) -> str:
     return f"raw {render_form(realize(spec))}"
 
 
-def _hypotheses(spec: AffineRational | AffineLogarithmic) -> tuple[bool, tuple[str, ...]]:
-    from .foliations import _eigenvalues_generic
-
+def _hypotheses(spec: AffineLogarithmic) -> tuple[bool, tuple[str, ...]]:
     notes = []
     if spec.ambient_dim < 3:
         notes.append("ambient dimension below 3")
@@ -284,7 +244,7 @@ def _hypotheses(spec: AffineRational | AffineLogarithmic) -> tuple[bool, tuple[s
     mu = mu_of(spec)
     if mu == 0:
         notes.append("mu = 0")
-    if any(-mu == lam for lam in eigenvalue_list(spec)):
+    if any(-mu == lam for lam in spec.eigenvalues):
         notes.append("-mu collides with an eigenvalue")
     return (not notes), tuple(notes)
 
@@ -308,7 +268,7 @@ def verify_decomposition(spec: FoliationSpec) -> DeformationReport:
         param, eigen = span, None
         dim_param, dim_eigen = span.dim, 0
         hypotheses_met, notes = True, ()
-    elif isinstance(spec, (AffineRational, AffineLogarithmic)):
+    elif isinstance(spec, AffineLogarithmic):
         param = param_perturbation_space(spec, quotient_by_omega=True)
         eigen = eigen_perturbation_space(spec, quotient_by_omega=True)
         span = span_of_forms(
@@ -350,7 +310,7 @@ def verify_decomposition(spec: FoliationSpec) -> DeformationReport:
 
 def verify_coro1(spec: FoliationSpec) -> bool:
     """Same-degree equivalence of the deformation and relative-cohomology kernels."""
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("the equivalence is stated for rational/logarithmic specs")
     omega = realize(spec)
     factor, verified = integrating_factor(spec)
@@ -373,24 +333,17 @@ def different_degree_solutions(
     slots (for a rational spec, simply df_j for the kept slot j).  The result
     is checked against the relative-cohomology operator before it is returned.
     """
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("defined for rational/logarithmic specs")
-    factors = spec.factors if isinstance(spec, AffineLogarithmic) else (spec.f1, spec.f2)
-    count = len(factors)
+    count = len(spec.factors)
     kept = sorted(set(kept_indices))
     if len(kept) != count - 1 or any(not 0 <= j < count for j in kept):
         raise ValueError("need a proper subset of slot indices of size s - 1")
-    n = spec.ambient_dim
+    factors = [spec.factors[j] for j in kept]
     if isinstance(spec, AffineRational):
-        eta = ext_d(factors[kept[0]])
+        eta = ext_d(factors[0])
     else:
-        eta = Form.zero(n, 1)
-        for j in kept:
-            cofactor = Poly.constant(n, 1)
-            for i in kept:
-                if i != j:
-                    cofactor = cofactor * factors[i]
-            eta = eta + ext_d(factors[j]) * cofactor * spec.eigenvalues[j]
+        eta = _log_form(factors, [spec.eigenvalues[j] for j in kept])
     omega = realize(spec)
     factor, _ = integrating_factor(spec)
     if not relcohom_operator(omega, factor, eta).is_zero():
@@ -477,7 +430,7 @@ def _rescale_decomposition(dec: IntegrationDecomposition, scale: Scalar) -> Inte
     """Convert a decomposition over prod(f_i^n_i) to one over scale * prod(f_i^n_i)."""
     if not dec.residual_ok:
         return dec
-    inverse = Fraction(1) / as_scalar(scale) if not isinstance(scale, Fraction) else Fraction(1) / scale
+    inverse = Fraction(1) / as_scalar(scale)
     return IntegrationDecomposition(
         lambdas=tuple(v * inverse for v in dec.lambdas),
         g=dec.g * inverse,

@@ -1,10 +1,11 @@
 """Foliation constructors and validators.
 
-The three structured classes of integrable homogeneous one-forms handled
-here are:
+The structured classes of integrable homogeneous one-forms handled here
+are:
 
-* affine rational:     r*f1*df2 - s*f2*df1
 * affine logarithmic:  sum(lambda_k * F_k * df_k)  with  F_k = prod(f_j, j != k)
+* affine rational:     r*f1*df2 - s*f2*df1, the two-factor logarithmic form
+                       with factors (f1, f2) and eigenvalues (-s, r)
 * exact:               dP
 
 plus a Raw wrapper for arbitrary one-forms.  The module also provides the
@@ -23,7 +24,7 @@ from random import Random
 from typing import Sequence
 
 from . import linalg
-from .forms import Form, contract, ext_d, radial_field
+from .forms import Form, ext_d
 from .poly import Monomial, Poly, monomials_of_degree
 from .scalars import Scalar, as_scalar, scalar_sqrt
 
@@ -35,40 +36,6 @@ def _require_homogeneous_parameter(p: Poly, what: str) -> int:
     if d < 1:
         raise ValueError(f"{what} must have degree >= 1 (constants collapse the divisor)")
     return d
-
-
-@dataclass(frozen=True)
-class AffineRational:
-    """r*f1*df2 - s*f2*df1 with homogeneous f1, f2 of degree >= 1."""
-
-    f1: Poly
-    f2: Poly
-    r: Scalar
-    s: Scalar
-
-    def __post_init__(self):
-        _require_homogeneous_parameter(self.f1, "f1")
-        _require_homogeneous_parameter(self.f2, "f2")
-        if self.f1.ambient_dim != self.f2.ambient_dim:
-            raise ValueError("f1 and f2 must share the ambient dimension")
-        object.__setattr__(self, "r", as_scalar(self.r))
-        object.__setattr__(self, "s", as_scalar(self.s))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.f1.ambient_dim
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return (self.f1.homogeneous_degree(), self.f2.homogeneous_degree())
-
-    @property
-    def factors(self) -> tuple[Poly, Poly]:
-        return (self.f1, self.f2)
-
-    def as_logarithmic(self) -> "AffineLogarithmic":
-        """The same one-form as a two-factor logarithmic spec ((f1,f2), (-s,r))."""
-        return AffineLogarithmic((self.f1, self.f2), (-as_scalar(self.s), as_scalar(self.r)))
 
 
 @dataclass(frozen=True)
@@ -105,6 +72,35 @@ class AffineLogarithmic:
         return len(self.factors) == 2
 
 
+class AffineRational(AffineLogarithmic):
+    """r*f1*df2 - s*f2*df1: the logarithmic spec ((f1, f2), (-s, r))."""
+
+    def __init__(self, f1: Poly, f2: Poly, r: Scalar, s: Scalar):
+        _require_homogeneous_parameter(f1, "f1")
+        _require_homogeneous_parameter(f2, "f2")
+        super().__init__((f1, f2), (-as_scalar(s), as_scalar(r)))
+
+    @property
+    def f1(self) -> Poly:
+        return self.factors[0]
+
+    @property
+    def f2(self) -> Poly:
+        return self.factors[1]
+
+    @property
+    def r(self) -> Scalar:
+        return self.eigenvalues[1]
+
+    @property
+    def s(self) -> Scalar:
+        return -self.eigenvalues[0]
+
+    def as_logarithmic(self) -> AffineLogarithmic:
+        """The same one-form as a plain two-factor logarithmic spec."""
+        return AffineLogarithmic(self.factors, self.eigenvalues)
+
+
 @dataclass(frozen=True)
 class Exact:
     """dP for a homogeneous polynomial P of degree >= 1."""
@@ -134,23 +130,33 @@ class Raw:
         return self.omega.ambient_dim
 
 
-FoliationSpec = AffineRational | AffineLogarithmic | Exact | Raw
+FoliationSpec = AffineLogarithmic | Exact | Raw
+
+
+def _log_terms(factors: Sequence[Poly]) -> list[Form]:
+    """The terms prod(f_j, j != k) * df_k of a logarithmic form, one per factor."""
+    terms = []
+    for k, f in enumerate(factors):
+        cofactor = Poly.constant(f.ambient_dim, 1)
+        for j, other in enumerate(factors):
+            if j != k:
+                cofactor = cofactor * other
+        terms.append(ext_d(f) * cofactor)
+    return terms
+
+
+def _log_form(factors: Sequence[Poly], eigenvalues: Sequence[Scalar]) -> Form:
+    """sum(lambda_k * prod(f_j, j != k) * df_k)."""
+    total = Form.zero(factors[0].ambient_dim, 1)
+    for term, lam in zip(_log_terms(factors), eigenvalues):
+        total = total + term * lam
+    return total
 
 
 def realize(spec: FoliationSpec) -> Form:
     """The homogeneous one-form with the given parameters."""
-    if isinstance(spec, AffineRational):
-        return ext_d(spec.f2) * spec.f1 * spec.r - ext_d(spec.f1) * spec.f2 * spec.s
     if isinstance(spec, AffineLogarithmic):
-        n = spec.ambient_dim
-        total = Form.zero(n, 1)
-        for k, (f, lam) in enumerate(zip(spec.factors, spec.eigenvalues)):
-            cofactor = Poly.constant(n, 1)
-            for j, other in enumerate(spec.factors):
-                if j != k:
-                    cofactor = cofactor * other
-            total = total + ext_d(f) * cofactor * lam
-        return total
+        return _log_form(spec.factors, spec.eigenvalues)
     if isinstance(spec, Exact):
         return ext_d(spec.potential)
     if isinstance(spec, Raw):
@@ -160,8 +166,6 @@ def realize(spec: FoliationSpec) -> Form:
 
 def degree_of(spec: FoliationSpec) -> int:
     """Total degree of the realized one-form."""
-    if isinstance(spec, AffineRational):
-        return sum(spec.degrees)
     if isinstance(spec, AffineLogarithmic):
         return sum(spec.degrees)
     if isinstance(spec, Exact):
@@ -185,12 +189,10 @@ def integrating_factor(spec: FoliationSpec) -> tuple[Poly, bool]:
     ``verified`` reports whether F*d(omega) == dF ^ omega holds identically
     (it must, for valid rational/logarithmic specs).
     """
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("integrating factors are defined for rational/logarithmic specs")
-    factors = spec.factors if isinstance(spec, AffineLogarithmic) else (spec.f1, spec.f2)
-    n = spec.ambient_dim
-    product = Poly.constant(n, 1)
-    for f in factors:
+    product = Poly.constant(spec.ambient_dim, 1)
+    for f in spec.factors:
         product = product * f
     omega = realize(spec)
     verified = (omega.d() * product) == ext_d(product).wedge(omega)
@@ -198,24 +200,18 @@ def integrating_factor(spec: FoliationSpec) -> tuple[Poly, bool]:
 
 
 def mu_of(spec: FoliationSpec) -> Scalar:
-    """The scalar mu with i_R(omega) = mu * F."""
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    """The scalar mu with i_R(omega) = mu * F, i.e. sum(lambda_k * deg f_k).
+
+    Euler's identity i_R(df_k) = deg(f_k) * f_k turns each term of
+    i_R(omega) into lambda_k * deg(f_k) * F.
+    """
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("mu is defined for rational/logarithmic specs")
-    omega = realize(spec)
-    factor, _ = integrating_factor(spec)
-    contracted = contract(radial_field(spec.ambient_dim), omega).component(())
-    if contracted.is_zero():
-        return Fraction(0)
-    quotient = contracted.exact_div(factor)
-    if quotient is None or not quotient.is_homogeneous() or quotient.homogeneous_degree() != 0:
-        raise RuntimeError("i_R(omega) is not a scalar multiple of F (internal error)")
-    return quotient.coefficient((0,) * spec.ambient_dim)
+    return sum((lam * d for lam, d in zip(spec.eigenvalues, spec.degrees)), Fraction(0))
 
 
-def eigenvalue_list(spec: AffineRational | AffineLogarithmic) -> tuple[Scalar, ...]:
+def eigenvalue_list(spec: AffineLogarithmic) -> tuple[Scalar, ...]:
     """Eigenvalues in the logarithmic normalization ((-s, r) for rational specs)."""
-    if isinstance(spec, AffineRational):
-        return (-as_scalar(spec.s), as_scalar(spec.r))
     return spec.eigenvalues
 
 
@@ -235,10 +231,7 @@ class GenericityReport:
     notes: tuple[str, ...] = ()
 
 
-def _eigenvalues_generic(spec: AffineRational | AffineLogarithmic) -> bool:
-    if isinstance(spec, AffineRational):
-        r, s = as_scalar(spec.r), as_scalar(spec.s)
-        return r != 0 and s != 0 and r != -s
+def _eigenvalues_generic(spec: AffineLogarithmic) -> bool:
     values = spec.eigenvalues
     if any(v == 0 for v in values):
         return False
@@ -302,8 +295,9 @@ def _univariate_roots(coeffs: list[Scalar]) -> list[Scalar] | None:
             ints = ints[1:]
     def divisors(value: int) -> list[int]:
         value = abs(value)
-        out = [d for d in range(1, value + 1) if value % d == 0]
-        return out
+        small = [d for d in range(1, math.isqrt(value) + 1) if value % d == 0]
+        large = [value // d for d in reversed(small) if d * d != value]
+        return small + large
     for num in divisors(ints[0]):
         for den in divisors(ints[-1]):
             for sign in (1, -1):
@@ -479,9 +473,9 @@ def genericity_check(spec: FoliationSpec, trials: int, seed: int) -> GenericityR
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("genericity is defined for rational/logarithmic specs")
-    factors = list(spec.factors if isinstance(spec, AffineLogarithmic) else (spec.f1, spec.f2))
+    factors = spec.factors
     n = spec.ambient_dim
     eigen_ok = _eigenvalues_generic(spec)
     mu = mu_of(spec)

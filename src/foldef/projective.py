@@ -15,18 +15,15 @@ from . import linalg
 from .deformation import DeformOperator, deform_operator, operator_matrix
 from .foliations import (
     AffineLogarithmic,
-    AffineRational,
     FoliationSpec,
     degree_of,
-    eigenvalue_list,
-    integrating_factor,
     is_integrable,
     mu_of,
     realize,
 )
-from .forms import Form, contract, ext_d, radial_field
+from .forms import Form, contract, radial_field
 from .poly import Poly, monomials_of_degree
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar
 from .spaces import SubspaceBasis, one_form_coordinates, vectors_to_subspace
 
 
@@ -121,30 +118,15 @@ class ProjectivizedParameters:
 
 def projectivized_log_parameters(spec: FoliationSpec) -> ProjectivizedParameters:
     """Parameters of the projectivization as a logarithmic form in n+1 variables."""
-    if not isinstance(spec, (AffineRational, AffineLogarithmic)):
+    if not isinstance(spec, AffineLogarithmic):
         raise TypeError("defined for rational/logarithmic specs")
     n = spec.ambient_dim
-    factors = spec.factors if isinstance(spec, AffineLogarithmic) else (spec.f1, spec.f2)
     mu = mu_of(spec)
-    lifted = tuple(f.lift(n + 1) for f in factors) + (Poly.variable(n + 1, n),)
-    eigenvalues = tuple(eigenvalue_list(spec)) + (-as_scalar(mu),)
-    realized = realize(AffineLogarithmic(lifted, eigenvalues)) if mu != 0 else None
-    omega = realize(spec)
-    expected = projectivize(omega, degree_of(spec))
-    if realized is not None and realized != expected:
+    lifted = tuple(f.lift(n + 1) for f in spec.factors) + (Poly.variable(n + 1, n),)
+    eigenvalues = spec.eigenvalues + (-mu,)
+    expected = projectivize(realize(spec), degree_of(spec))
+    if realize(AffineLogarithmic(lifted, eigenvalues)) != expected:
         raise RuntimeError("projectivized parameters do not realize z*omega - mu*F*dz")
-    if realized is None:
-        # mu = 0: the appended eigenvalue vanishes; check the identity directly
-        factor, _ = integrating_factor(spec)
-        total = Form.zero(n + 1, 1)
-        for k, lam in enumerate(eigenvalues[:-1]):
-            cofactor = Poly.variable(n + 1, n)
-            for j, f in enumerate(lifted[:-1]):
-                if j != k:
-                    cofactor = cofactor * f
-            total = total + ext_d(lifted[k]) * cofactor * lam
-        if total != expected:
-            raise RuntimeError("projectivized parameters do not realize z*omega")
     return ProjectivizedParameters(lifted, eigenvalues, degenerate=(mu == 0))
 
 

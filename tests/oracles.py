@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from foldef.forms import Form
+from foldef.foliations import integrating_factor, realize
+from foldef.forms import Form, contract, radial_field
 from foldef.poly import Poly
 
 
@@ -148,3 +149,15 @@ def in_span(form: Form, forms, n: int, total_degree: int) -> bool:
     coords = one_form_basis(n, total_degree)
     rows = [form_vector(f, coords) for f in forms]
     return naive_rank(rows) == naive_rank(rows + [form_vector(form, coords)])
+
+
+def reference_mu(spec):
+    """mu as the scalar quotient i_R(omega) / F of the realized form."""
+    n = spec.ambient_dim
+    contracted = contract(radial_field(n), realize(spec)).component(())
+    if contracted.is_zero():
+        return Fraction(0)
+    factor, _ = integrating_factor(spec)
+    quotient = contracted.exact_div(factor)
+    assert quotient is not None and quotient.homogeneous_degree() == 0
+    return quotient.coefficient((0,) * n)

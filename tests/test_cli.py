@@ -1,5 +1,8 @@
 import json
 import re
+import time
+
+import pytest
 
 from foldef.cli import (
     EXIT_INPUT_ERROR,
@@ -255,3 +258,56 @@ def test_main_prints_and_writes(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     saved = json.loads(out_file.read_text())
     assert saved["kernels_equal"] is True
+
+
+# (F1, F2, R, S, -S): --rational F1 F2 --eigenvalues R S is the logarithmic
+# spec with parameters (F1, F2) and eigenvalues (-S, R)
+RATIONAL_AS_LOG = [
+    ("x", "y", "1", "2", "-2"),
+    ("x", "y^2 + x*z", "2", "1", "-1"),
+    ("x", "x*y", "1", "1", "-1"),
+    ("x*y", "z^2", "1+i", "3", "-3"),
+    ("x", "y", "3", "2-i", "(-2+i)"),
+]
+EQUIVALENT_COMMANDS = [["deform"], ["relcohom"], ["check", "--seed", "7"], ["projectivize"]]
+
+
+@pytest.mark.parametrize("command", EQUIVALENT_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("f1,f2,r,s,neg_s", RATIONAL_AS_LOG)
+def test_rational_report_equals_logarithmic_report(command, f1, f2, r, s, neg_s):
+    rational, rat_status = run(
+        [*command, "--vars", "x,y,z", "--rational", f1, f2, "--eigenvalues", r, s]
+    )
+    logarithmic, log_status = run(
+        [*command, "--vars", "x,y,z", "--logarithmic", f1, f2, "--eigenvalues", neg_s, r]
+    )
+    assert "error" not in rational
+    assert rat_status == log_status
+    assert _strip_timing(render_report(rational)) == _strip_timing(render_report(logarithmic))
+
+
+def test_verify_kind_must_match_exactly():
+    report, status = run(["verify", "logarithmic", *RAT_ARGS])
+    assert status == EXIT_INPUT_ERROR
+    assert report["error"] == "verify logarithmic needs a matching --logarithmic spec"
+    report, status = run(
+        ["verify", "rational", "--vars", "x,y,z", "--logarithmic", "x", "y", "--eigenvalues", "1", "2"]
+    )
+    assert status == EXIT_INPUT_ERROR
+    assert report["error"] == "verify rational needs a matching --rational spec"
+
+
+def test_check_large_cleared_coefficients_bounded():
+    # the rational-root search on random sections meets integer coefficients
+    # with many digits; a linear divisor scan over them did not finish in 20 s
+    budget_seconds = 5.0
+    start = time.perf_counter()
+    report, status = run(
+        ["check", "--vars", "x,y,z", "--logarithmic", "x^3 + 1003*y^3 - z^3", "y", "z",
+         "--eigenvalues", "1", "2", "5", "--seed", "7"]
+    )
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_seconds, f"check exceeded {budget_seconds}s: {elapsed:.2f}s"
+    assert status == EXIT_VERDICT_FAILED
+    assert report["verdict"] == "inconclusive"
+    assert report["trials_used"] == 19

@@ -22,6 +22,7 @@ from foldef.poly import Poly
 from foldef.expressions import parse_form
 
 from gen import random_logarithmic_spec, random_rational_spec
+from oracles import reference_mu
 
 X, Y, Z = (Poly.variable(3, i) for i in range(3))
 VARS = ["x", "y", "z"]
@@ -123,6 +124,17 @@ def test_mu_identity_randomized():
         factor, _ = integrating_factor(spec)
         mu = mu_of(spec)
         assert contract(field, omega).component(()) == factor * mu
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_mu_closed_form_matches_reference(gaussian):
+    rng = Random(59 + gaussian)
+    specs = [random_rational_spec(rng, 3, gaussian=gaussian) for _ in range(20)]
+    for s in (2, 3, 4):
+        specs += [random_logarithmic_spec(rng, 3, s=s, gaussian=gaussian) for _ in range(20)]
+    for spec in specs:
+        mu, expected = mu_of(spec), reference_mu(spec)
+        assert mu == expected and type(mu) is type(expected)
 
 
 def test_eigenvalue_list():
