@@ -441,9 +441,31 @@ def execute(args) -> tuple[dict, int]:
     return report, status
 
 
+def _normalize_argv(argv: list[str]) -> list[str]:
+    """Parenthesize the negative scalars after ``--eigenvalues``.
+
+    argparse reads a token such as ``-2+i``, ``-1/2`` or ``-i`` as an option;
+    ``(-2+i)`` parses to the same scalar.  The list ends at the first token
+    that starts with ``-`` and is not a scalar, as argparse's does.
+    """
+    out = []
+    eigenvalues = False
+    for token in argv:
+        if eigenvalues and token.startswith("-"):
+            try:
+                parse_scalar(token)
+                token = f"({token})"
+            except ExpressionError:
+                eigenvalues = False
+        out.append(token)
+        if token == "--eigenvalues":
+            eigenvalues = True
+    return out
+
+
 def run(argv: list[str]) -> tuple[dict, int]:
     """Parse and execute a command line; returns (report dict, exit status)."""
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_normalize_argv(argv))
     return execute(args)
 
 
@@ -452,7 +474,7 @@ def render_report(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
     report, status = execute(args)
     text = render_report(report)
     if getattr(args, "output", None):

@@ -4,7 +4,7 @@ A first-order perturbation omega + eps*eta (eps^2 = 0) of an integrable
 one-form stays integrable exactly when omega ^ d(eta) + d(omega) ^ eta = 0.
 This module assembles that operator (and the relative-cohomology operator
 (F*d(eta) - dF ^ eta) ^ omega) as an exact matrix over the monomial basis of
-homogeneous one-forms, computes kernels by fraction-free elimination, builds
+homogeneous one-forms, computes kernels by sparse exact elimination, builds
 the parameter / eigenvalue perturbation subspaces, and compares the two in
 canonical echelon form.
 """

@@ -298,8 +298,9 @@ def _univariate_roots(coeffs: list[Scalar]) -> list[Scalar] | None:
         small = [d for d in range(1, math.isqrt(value) + 1) if value % d == 0]
         large = [value // d for d in reversed(small) if d * d != value]
         return small + large
+    denominators = divisors(ints[-1])
     for num in divisors(ints[0]):
-        for den in divisors(ints[-1]):
+        for den in denominators:
             for sign in (1, -1):
                 candidate = Fraction(sign * num, den)
                 if sum(c * candidate**k for k, c in enumerate(ints)) == 0 and candidate not in roots:

@@ -314,8 +314,3 @@ def cartan_check(a: Form, total_degree: int) -> bool:
         raise ValueError(f"form is not homogeneous of total degree {total_degree}")
     scaled = a * Fraction(total_degree)
     return lie_radial(a) == scaled
-
-
-def lift_form(a: Form, new_dim: int) -> Form:
-    """View a form in a larger ambient space (trailing variables unused)."""
-    return Form(new_dim, a.arity, {k: p.lift(new_dim) for k, p in a.components.items()})

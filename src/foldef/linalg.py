@@ -1,93 +1,71 @@
 """Exact linear algebra over Q and Q(i).
 
-Vectors are tuples of scalars.  Elimination is fraction-free in the Bareiss
-style: each row is first scaled to clear denominators, after which every
-division performed during forward elimination is exact in the (Gaussian)
-integers, keeping intermediate entries small.  A final normalization pass
-produces the reduced row echelon form with leading entries 1, which is the
+Vectors are tuples of scalars.  Elimination is one incremental sparse
+Gauss-Jordan pass: rows are held as dicts ``{col: scalar}`` of their nonzero
+entries, each incoming row is reduced by the pivot rows found so far, and a
+new pivot row is scaled to a leading 1 and cleared from the earlier pivot
+rows, so the pivot rows stay in reduced row echelon form throughout.  The
+operator matrices are mostly zeros, so the work follows the nonzeros rather
+than the cells.  The reduced row echelon form, with leading entries 1, is the
 canonical representation used for all subspace comparisons.
 """
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
-from .scalars import Scalar, scalar_denominator_lcm
+from .scalars import Scalar, as_scalar
 
 Vector = tuple[Scalar, ...]
-Matrix = list[list[Scalar]]
-
-
-def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    out: Matrix = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            if v != 0:
-                d = scalar_denominator_lcm(v)
-                lcm = lcm * d // math.gcd(lcm, d)
-        out.append([v * lcm for v in row])
-    return out
-
-
-def _forward_eliminate(m: Matrix) -> list[int]:
-    """In-place fraction-free (Bareiss) elimination; returns pivot columns."""
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    prev: Scalar = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            factor = m[i][c]
-            if factor == 0:
-                # still rescale so the Bareiss division by prev stays exact
-                for j in range(c + 1, ncols):
-                    if m[i][j] != 0:
-                        m[i][j] = (pivot * m[i][j]) / prev
-                continue
-            for j in range(c + 1, ncols):
-                m[i][j] = (pivot * m[i][j] - factor * m[r][j]) / prev
-            m[i][c] = Fraction(0)
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Canonical reduced row echelon form (zero rows dropped) and pivot columns."""
-    m = _cleared_rows(rows)
-    pivots = _forward_eliminate(m)
-    if not pivots:
-        return (), ()
-    ncols = len(m[0])
-    reduced = [m[i][:] for i in range(len(pivots))]
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        pivot = reduced[k][c]
-        reduced[k] = [v / pivot for v in reduced[k]]
-        for i in range(k):
-            factor = reduced[i][c]
-            if factor == 0:
-                continue
-            reduced[i] = [a - factor * b for a, b in zip(reduced[i], reduced[k])]
-    return tuple(tuple(row) for row in reduced), tuple(pivots)
+    ncols = len(rows[0]) if rows else 0
+    pivot_rows: dict[int, dict[int, Scalar]] = {}  # pivot column -> reduced row
+    # column -> pivot columns whose reduced row is nonzero in that column
+    users: defaultdict[int, set[int]] = defaultdict(set)
+    for dense in rows:
+        row = {c: as_scalar(dense[c]) for c in compress(range(ncols), dense)}
+        for p in row.keys() & pivot_rows.keys():
+            factor = row[p]
+            for c, v in pivot_rows[p].items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+        if not row:
+            continue
+        lead = min(row)
+        scale = row[lead]
+        row = {c: v / scale for c, v in row.items()}
+        for p in tuple(users[lead]):
+            earlier = pivot_rows[p]
+            factor = earlier[lead]
+            for c, v in row.items():
+                value = earlier.get(c, 0) - factor * v
+                if value:
+                    if c not in earlier:
+                        users[c].add(p)
+                    earlier[c] = value
+                else:
+                    del earlier[c]
+                    users[c].discard(p)
+        pivot_rows[lead] = row
+        for c in row:
+            users[c].add(lead)
+    zero = Fraction(0)
+    reduced = []
+    for p in sorted(pivot_rows):
+        out = [zero] * ncols
+        for c, v in pivot_rows[p].items():
+            out[c] = v
+        reduced.append(tuple(out))
+    return tuple(reduced), tuple(sorted(pivot_rows))
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -104,7 +82,8 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Vector, ...
         v: list[Scalar] = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for k, c in enumerate(pivots):
-            v[c] = -reduced[k][f]
+            if reduced[k][f]:
+                v[c] = -reduced[k][f]
         basis.append(v)
     canonical, _ = rref(basis)
     return canonical
@@ -115,7 +94,7 @@ def reduce_against(reduced: Sequence[Vector], pivots: Sequence[int], vector: Seq
     v = list(vector)
     for k, c in enumerate(pivots):
         factor = v[c]
-        if factor == 0:
+        if not factor:
             continue
         row = reduced[k]
         v = [a - factor * b for a, b in zip(v, row)]
@@ -123,7 +102,7 @@ def reduce_against(reduced: Sequence[Vector], pivots: Sequence[int], vector: Seq
 
 
 def in_row_space(reduced: Sequence[Vector], pivots: Sequence[int], vector: Sequence[Scalar]) -> bool:
-    return all(v == 0 for v in reduce_against(reduced, pivots, vector))
+    return not any(reduce_against(reduced, pivots, vector))
 
 
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar], ncols: int) -> Vector | None:
@@ -149,7 +128,7 @@ def line_complement(reduced: Sequence[Vector], line: Sequence[Scalar]) -> tuple[
     """
     pivot = None
     for c, v in enumerate(line):
-        if v != 0:
+        if v:
             pivot = c
             break
     if pivot is None:

@@ -140,12 +140,6 @@ def scalar_parts(value) -> tuple[Fraction, Fraction]:
     return Fraction(value), Fraction(0)
 
 
-def scalar_denominator_lcm(value) -> int:
-    """LCM of the denominators of the real and imaginary parts."""
-    re, im = scalar_parts(value)
-    return re.denominator * im.denominator // math.gcd(re.denominator, im.denominator)
-
-
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None

@@ -311,3 +311,31 @@ def test_check_large_cleared_coefficients_bounded():
     assert status == EXIT_VERDICT_FAILED
     assert report["verdict"] == "inconclusive"
     assert report["trials_used"] == 19
+
+
+def test_check_million_coefficient_bounded():
+    # the divisor list of the leading coefficient is built once, not once per
+    # numerator candidate; rebuilding it took about 6 s here
+    budget_seconds = 5.0
+    start = time.perf_counter()
+    report, status = run(
+        ["check", "--vars", "x,y,z", "--logarithmic", "x^3 + 1000003*y^3 - z^3", "y", "z",
+         "--eigenvalues", "1", "2", "5", "--seed", "7"]
+    )
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_seconds, f"check exceeded {budget_seconds}s: {elapsed:.2f}s"
+    assert status == EXIT_VERDICT_FAILED
+    assert report["verdict"] == "inconclusive"
+    assert report["trials_used"] == 19
+
+
+@pytest.mark.parametrize("value", ["-2+i", "-1/2", "-i"])
+def test_negative_eigenvalue_without_parentheses(value, capsys):
+    command = ["check", "--vars", "x,y,z", "--logarithmic", "x", "y", "z", "--eigenvalues"]
+    bare, bare_status = run([*command, value, "3", "1", "--seed", "3"])
+    wrapped, wrapped_status = run([*command, f"({value})", "3", "1", "--seed", "3"])
+    assert "error" not in bare
+    assert bare_status == wrapped_status
+    assert _strip_timing(render_report(bare)) == _strip_timing(render_report(wrapped))
+    assert main([*command, value, "3", "1", "--seed", "3"]) == wrapped_status
+    assert _strip_timing(capsys.readouterr().out) == _strip_timing(render_report(wrapped)) + "\n"

@@ -119,3 +119,70 @@ def test_rref_low_rank_stress():
         for v in basis:
             for row in rows:
                 assert sum((a * b for a, b in zip(row, v)), Fraction(0)) == 0
+
+
+def test_int_input_gives_fractions():
+    outputs = [
+        *linalg.rref([[2, 4], [1, 3]])[0],
+        *linalg.rref([[2, 4]])[0],
+        *linalg.nullspace([[1, 2, 3]], 3),
+        linalg.solve([[2, 1], [1, 3]], [3, 4], 2),
+    ]
+    assert linalg.nullspace([[1, 2, 3]], 3) == (
+        (Fraction(1), Fraction(0), Fraction(-1, 3)),
+        (Fraction(0), Fraction(1), Fraction(-2, 3)),
+    )
+    assert all(type(v) is Fraction for row in outputs for v in row)
+
+
+def _sparse_matrix(rng, gaussian):
+    """20-60 rows x 20-60 cols at 3-15% density, with dependent and duplicated rows."""
+    rows, cols = rng.randint(20, 60), rng.randint(20, 60)
+    density = rng.uniform(0.03, 0.15)
+    independent = []
+    for _ in range(rows // 2):
+        row = [Fraction(0)] * cols
+        for c in range(cols):
+            if rng.random() < density:
+                row[c] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                if gaussian and rng.random() < 0.3:
+                    row[c] = make_scalar(row[c], rng.randint(-3, 3))
+        independent.append(row)
+    m = [list(row) for row in independent]
+    while len(m) < rows:
+        if rng.random() < 0.5:
+            m.append(list(rng.choice(independent)))
+        else:
+            a, b = rng.sample(independent, 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-3, 3))
+            m.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(m)
+    return m, cols
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sparse_rref_matches_naive_oracle(gaussian):
+    rng = Random(113 if gaussian else 127)
+    for _ in range(5):
+        m, cols = _sparse_matrix(rng, gaussian)
+        ours, pivots = linalg.rref(m)
+        theirs, their_pivots = naive_rref(m)
+        assert [list(r) for r in ours] == theirs
+        assert list(pivots) == their_pivots
+        basis = linalg.nullspace(m, cols)
+        assert len(basis) == cols - len(their_pivots)
+        for v in basis:
+            for row in m:
+                assert sum((a * v[c] for c, a in enumerate(row) if a), Fraction(0)) == 0
+
+
+def test_rref_degenerate_shapes():
+    assert linalg.rref([]) == ((), ())
+    assert linalg.rref([[0, 0, 0], [Fraction(0)] * 3]) == ((), ())
+    assert linalg.nullspace([[0, 0]], 2) == ((1, 0), (0, 1))
+    # all-zero rows and columns between nonzero ones
+    m = [[0, 0, 3, 0, 6], [0, 0, 0, 0, 0], [0, 0, 1, 0, 2], [0, 0, 0, 0, 5]]
+    ours, pivots = linalg.rref(m)
+    theirs, their_pivots = naive_rref([[Fraction(v) for v in row] for row in m])
+    assert [list(r) for r in ours] == theirs
+    assert list(pivots) == their_pivots == [2, 4]
