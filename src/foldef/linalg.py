@@ -29,6 +29,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Vector, ...], tuple[in
     # column -> pivot columns whose reduced row is nonzero in that column
     users: defaultdict[int, set[int]] = defaultdict(set)
     for dense in rows:
+        # compress skips the zero cells without a Python-level loop over them
         row = {c: as_scalar(dense[c]) for c in compress(range(ncols), dense)}
         for p in row.keys() & pivot_rows.keys():
             factor = row[p]

@@ -314,8 +314,8 @@ def test_check_large_cleared_coefficients_bounded():
 
 
 def test_check_million_coefficient_bounded():
-    # the divisor list of the leading coefficient is built once, not once per
-    # numerator candidate; rebuilding it took about 6 s here
+    # the divisor list of the leading coefficient is built once; rebuilding
+    # it for every numerator candidate made this check take about 9 s
     budget_seconds = 5.0
     start = time.perf_counter()
     report, status = run(
